@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"runtime"
 	"strconv"
 	"time"
 
@@ -30,10 +31,6 @@ const batchFrames = 16
 // edgeSpec is the served configuration, Physical edge on 256² frames,
 // for the serve workloads' layer probes and reference agreement.
 var edgeSpec = batchSpec{fidelity: lightator.Physical, size: sceneSize, target: "edge"}
-
-// batchTail is the batch workload's latency_tail_ms percentile: its
-// batch-of-one phase holds about 400 calls, so at least 10 lie beyond it.
-const batchTail = 0.95
 
 // setupReps is how many times set-up is timed; setup_s is the median.
 const setupReps = 15
@@ -101,45 +98,30 @@ type batchRun struct {
 	oc     *outcome
 }
 
-// throughputBlock is the span of consecutive calls one throughput sample
-// covers. Per-call times are bimodal on a host whose cores are shared
-// (fast and contended states alternate within a second); a block's mean
-// rate averages over that flipping, and the median over blocks resists
-// a slow stretch.
-const throughputBlock = 500 * time.Millisecond
-
 // throughput repeats the batch call over all scenes for d and returns the
-// median over blocks of the rate of correct frames, and the frames
-// attempted.
+// block rate of correct frames, on a clock that runs only inside the
+// calls, and the frames attempted.
 func (r *batchRun) throughput(d time.Duration, tr *tracer) (float64, int) {
-	var rates []float64
-	frames, blockGood := 0, 0
-	var blockTime time.Duration
+	var inCalls time.Time
+	done := []time.Time{inCalls} // the first block starts before the first call
+	frames := 0
 	deadline := time.Now().Add(d)
 	for call := 0; call < 3 || time.Now().Before(deadline); call++ {
 		start := time.Now()
 		outs, err := r.b.call(r.acc, r.scenes, r.o.workers)
 		end := time.Now()
 		tr.add(r.b.facadeName(), -1, int64(call), start, end)
-		good := 0
+		inCalls = inCalls.Add(end.Sub(start))
 		for i := range r.scenes {
 			ok := matches(outs, err, i, r.refs[i])
 			r.oc.record(ok)
 			if ok {
-				good++
+				done = append(done, inCalls)
 			}
 		}
 		frames += len(r.scenes)
-		blockGood += good
-		if blockTime += end.Sub(start); blockTime >= throughputBlock {
-			rates = append(rates, float64(blockGood)/blockTime.Seconds())
-			blockGood, blockTime = 0, 0
-		}
 	}
-	if len(rates) == 0 {
-		rates = append(rates, float64(blockGood)/blockTime.Seconds())
-	}
-	return median(rates), frames
+	return blockRate(done), frames
 }
 
 // latency times single-frame calls (a batch of one, one caller, closed
@@ -173,6 +155,10 @@ func runBatch(o options, b batchSpec) (*outcome, error) {
 	var setups []float64
 	warm := r.scenes[:min(o.workers, len(r.scenes))]
 	for i := 0; i < reps; i++ {
+		// The previous set-up's accelerator and garbage stay out of this
+		// set-up's time and out of peak_rss_mb.
+		r.acc = nil
+		runtime.GC()
 		start := time.Now()
 		acc, err := lightator.New(b.config(b.fidelity))
 		if err != nil {
@@ -196,6 +182,7 @@ func runBatch(o options, b batchSpec) (*outcome, error) {
 		r.single = append(r.single, d[0])
 	}
 
+	runtime.GC() // reference garbage stays out of the timed phases
 	m := r.oc.metrics
 	if o.trace {
 		if err := r.traced(); err != nil {
@@ -204,7 +191,7 @@ func runBatch(o options, b batchSpec) (*outcome, error) {
 	} else {
 		m["setup_s"] = median(setups)
 		m["frames_per_s"], _ = r.throughput(o.run/2, nil)
-		latencyMetrics(m, r.latency(o.run/2), batchTail)
+		latencyMetrics(m, r.latency(o.run/2))
 		m["correct_frac"] = r.oc.correctFrac()
 		if m["peak_rss_mb"], err = peakRSSMB(strconv.Itoa(os.Getpid())); err != nil {
 			return nil, err
@@ -245,8 +232,6 @@ func (r *batchRun) traced() error {
 	if err := r.probeLayers(r.o.run/3, tr); err != nil {
 		return err
 	}
-	frameMS := 1000 / fpsU
-	m["trace.unattributed_frac"] = math.Abs(1 - (m["sensor.capture_ms"]+m["oc.ca_ms"]+m["infer.tiny_mlp_ms"])/frameMS)
 	if err := mvmProbes(m, r.b.fidelity); err != nil {
 		return err
 	}
@@ -260,11 +245,24 @@ type layerCall struct {
 	run  func() error
 }
 
-// probeLayers times the nested-prefix facade calls CaptureBatch ⊂
-// AcquireCompressedBatch ⊂ the workload's call, each over the same
+// minProbes is the fewest timed repetitions of each probed call, so
+// that a short run's medians still sit inside layerSumTolerance.
+const minProbes = 15
+
+// layerSumTolerance is the stated tolerance of trace.unattributed_frac:
+// the probed self times of capture, CA and the kernel or model must sum
+// to the untraced per-frame time of the workload's batch call within
+// this share of it, or the traced run fails.
+const layerSumTolerance = 0.25
+
+// probeLayers times, for d, the nested-prefix facade calls CaptureBatch
+// ⊂ AcquireCompressedBatch ⊂ the workload's call, each over the same
 // scenes at nproc workers, plus the workload's call at one worker. The
-// facade reports no inner stage times, so a layer's time is the
-// difference between consecutive prefixes.
+// facade reports no inner stage times, so a layer's self time is the
+// difference between consecutive prefixes. Each repetition first times
+// the workload's call untraced, with no span or memory reading around
+// it, so the untraced frame time shares the probes' conditions (on a
+// serve workload, the idle server process beside them).
 func (r *batchRun) probeLayers(d time.Duration, tr *tracer) error {
 	n := float64(len(r.scenes))
 	w := r.o.workers
@@ -274,9 +272,23 @@ func (r *batchRun) probeLayers(d time.Duration, tr *tracer) error {
 		{r.b.facadeName(), func() error { _, err := r.b.call(r.acc, r.scenes, w); return err }},
 		{r.b.facadeName() + "@1worker", func() error { _, err := r.b.call(r.acc, r.scenes, 1); return err }},
 	}
+	// One untimed pass, so no probe times a call's first run after the
+	// other calls or the load phases.
+	for _, c := range calls {
+		if err := c.run(); err != nil {
+			return fmt.Errorf("probe %s: %w", c.name, err)
+		}
+	}
 	per := make([][3][]float64, len(calls)) // per call: ms, allocs, KB per frame
+	var untraced []float64                  // ms per frame
 	deadline := time.Now().Add(d)
-	for it := 0; it < 3 || time.Now().Before(deadline); it++ {
+	for it := 0; it < minProbes || time.Now().Before(deadline); it++ {
+		start := time.Now()
+		if _, err := r.b.call(r.acc, r.scenes, w); err != nil {
+			return fmt.Errorf("untraced %s: %w", r.b.facadeName(), err)
+		}
+		untraced = append(untraced, ms(time.Since(start))/n)
+
 		rootStart := time.Now()
 		type child struct{ start, end time.Time }
 		children := make([]child, len(calls))
@@ -324,6 +336,18 @@ func (r *batchRun) probeLayers(d time.Duration, tr *tracer) error {
 		ratios[i] = per[3][0][i] / per[2][0][i]
 	}
 	m["pipeline.speedup"] = median(ratios)
+
+	top := m["infer.tiny_mlp_ms"]
+	if !r.b.infer {
+		top = m["kernels.edge_ms"]
+	}
+	frameMS := median(untraced)
+	u := math.Abs(1 - (m["sensor.capture_ms"]+m["oc.ca_ms"]+top)/frameMS)
+	m["trace.unattributed_frac"] = u
+	if u > layerSumTolerance || math.IsNaN(u) {
+		return fmt.Errorf("layer times sum to %.3f ms per frame, untraced %.3f ms: unattributed %.3f exceeds %.2f",
+			m["sensor.capture_ms"]+m["oc.ca_ms"]+top, frameMS, u, layerSumTolerance)
+	}
 	return nil
 }
 

@@ -68,9 +68,33 @@ func TestQuantileCountsFailures(t *testing.T) {
 		t.Errorf("p90 with a failure in the top decile = %v, want +Inf", got)
 	}
 	m := map[string]float64{}
-	latencyMetrics(m, lat, 0.9)
+	latencyMetrics(m, lat)
 	if m["latency_tail_ms"] <= 0 || math.IsInf(m["latency_tail_ms"], 0) {
 		t.Errorf("latency_tail_ms = %v, want a finite failure value", m["latency_tail_ms"])
+	}
+}
+
+// TestBlockRateResistsAStall checks that one slow block does not move
+// the median block rate, and that a phase shorter than a block still
+// has a rate.
+func TestBlockRateResistsAStall(t *testing.T) {
+	var done []time.Time
+	at := time.Unix(0, 0)
+	for i := 0; i < 200; i++ { // 100 frames/s for 2 s
+		at = at.Add(10 * time.Millisecond)
+		done = append(done, at)
+	}
+	at = at.Add(2 * time.Second) // a stall
+	for i := 0; i < 100; i++ {
+		at = at.Add(10 * time.Millisecond)
+		done = append(done, at)
+	}
+	if got := blockRate(done); math.Abs(got-100) > 1e-9 {
+		t.Errorf("block rate with a stall = %v, want 100", got)
+	}
+	short := []time.Time{at, at.Add(100 * time.Millisecond), at.Add(200 * time.Millisecond)}
+	if got := blockRate(short); math.Abs(got-10) > 1e-9 {
+		t.Errorf("block rate of a short phase = %v, want 10", got)
 	}
 }
 
@@ -187,6 +211,9 @@ func TestWorkloadsBrief(t *testing.T) {
 				}
 				if !trace && res.Metrics["correct_frac"].Value != 1 {
 					t.Errorf("%s: correct_frac %v", name, res.Metrics["correct_frac"].Value)
+				}
+				if trace {
+					t.Logf("%s: trace.unattributed_frac %.3f", name, res.Metrics["trace.unattributed_frac"].Value)
 				}
 				if trace && name == "serve-process" && res.Metrics["server.cache_hit_frac"].Value != 0 {
 					t.Errorf("serve-process: server.cache_hit_frac %v, want 0", res.Metrics["server.cache_hit_frac"].Value)

@@ -4,7 +4,7 @@
 // digest, and prints one JSON result line as the last line of standard
 // output. METRICS.md documents the workloads and metrics.
 //
-//	bash lightbench/run.sh --workload batch-noisy --seed 1 --seconds 16 --trace 0
+//	bash lightbench/run.sh --workload batch-noisy --seed 1 --seconds 30 --trace 0
 //
 // With --trace 0 the result holds the end-to-end metrics; with --trace 1
 // it holds the per-layer metrics of a separate traced run, and the spans
@@ -18,6 +18,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -85,6 +86,29 @@ type hostInfo struct {
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	GoVersion  string `json:"go_version"`
 	CPU        string `json:"cpu_model"`
+	// StealS is the CPU time, summed over all CPUs, that the hypervisor
+	// gave to other guests during the run. Wall-clock metrics of runs
+	// with more steal read slower.
+	StealS float64 `json:"steal_s"`
+}
+
+// stealSeconds reads the host's cumulative steal time from /proc/stat
+// (USER_HZ = 100 ticks per second); 0 where it cannot be read.
+func stealSeconds() float64 {
+	data, err := os.ReadFile("/proc/stat")
+	if err != nil {
+		return 0
+	}
+	line, _, _ := strings.Cut(string(data), "\n")
+	f := strings.Fields(line)
+	if len(f) < 9 || f[0] != "cpu" {
+		return 0
+	}
+	ticks, err := strconv.ParseFloat(f[8], 64)
+	if err != nil {
+		return 0
+	}
+	return ticks / 100
 }
 
 func cpuModel() string {
@@ -157,6 +181,7 @@ func main() {
 		os.Exit(1)
 	}
 
+	steal0 := stealSeconds()
 	oc, err := run(o)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lightbench: %s: %v\n", o.workload, err)
@@ -177,7 +202,7 @@ func main() {
 	host, _ := json.Marshal(hostInfo{
 		Workload: o.workload, Seed: o.seed, Trace: o.trace,
 		NProc: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0),
-		GoVersion: runtime.Version(), CPU: cpuModel(),
+		GoVersion: runtime.Version(), CPU: cpuModel(), StealS: stealSeconds() - steal0,
 	})
 	fmt.Printf("{\"host\": %s}\n", host)
 	line, err := json.Marshal(res)

@@ -58,7 +58,7 @@ var perLayer = []metricDef{
 	{"energy.j_per_frame", "J", allW},
 	{"loadgen.late_ms", "ms", serveW},
 	{"trace.overhead_frac", "frac", allW},
-	{"trace.unattributed_frac", "frac", []string{"batch-noisy"}},
+	{"trace.unattributed_frac", "frac", allW},
 }
 
 // measuredOn reports whether workload measures the per-layer metric d.

@@ -167,12 +167,12 @@ func (l *processLoad) do(client *http.Client, buf *bytes.Buffer, k int64, phase 
 }
 
 // closedLoop runs nproc connections back to back for d. It returns the
-// rate of correct responses completed after the first tenth of the
+// block rate of correct responses completed after the first tenth of the
 // phase, and the requests sent.
 func (l *processLoad) closedLoop(d time.Duration, phase string, tr *tracer) (float64, int) {
 	start := time.Now()
 	warm, deadline := start.Add(d/10), start.Add(d)
-	good := make([]int, l.o.workers)
+	done := make([][]time.Time, l.o.workers)
 	sent := make([]int, l.o.workers)
 	var wg sync.WaitGroup
 	for w := 0; w < l.o.workers; w++ {
@@ -186,18 +186,19 @@ func (l *processLoad) closedLoop(d time.Duration, phase string, tr *tracer) (flo
 				ok, end := l.do(client, &buf, l.next.Add(1)-1, phase, tr)
 				sent[w]++
 				if ok && !end.Before(warm) && !end.After(deadline) {
-					good[w]++
+					done[w] = append(done[w], end)
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	total, n := 0, 0
-	for w := range good {
-		total += good[w]
+	var all []time.Time
+	n := 0
+	for w := range done {
+		all = append(all, done[w]...)
 		n += sent[w]
 	}
-	return float64(total) / deadline.Sub(warm).Seconds(), n
+	return blockRate(all), n
 }
 
 // openLoop sends requests at openLoopRate for d over nproc connections. A
@@ -294,9 +295,9 @@ func runServeProcess(o options) (*outcome, error) {
 
 	if !o.trace {
 		m["setup_s"] = setup
-		m["frames_per_s"], _ = l.closedLoop(o.run/3, "closed", nil)
-		lat, _, _ := l.openLoop(2*o.run/3, "open", nil)
-		latencyMetrics(m, lat, serveTail)
+		m["frames_per_s"], _ = l.closedLoop(o.run/2, "closed", nil)
+		lat, _, _ := l.openLoop(o.run/2, "open", nil)
+		latencyMetrics(m, lat)
 		m["correct_frac"] = oc.correctFrac()
 		if m["peak_rss_mb"], err = sp.peakRSSMB(); err != nil {
 			return nil, err
@@ -345,7 +346,7 @@ func (l *processLoad) traced(acc *lightator.Accelerator, scenes []*lightator.Ima
 	fillServerLayers(m, c0, c1)
 	fillRuntimeLayers(m, a0, g0, a1, g1, nClosed+nOpen)
 	m["trace.overhead_frac"] = 1 - fpsT/fpsU
-	m["loadgen.late_ms"] = quantile(late, serveTail)
+	m["loadgen.late_ms"] = quantile(late, tailQuantile)
 
 	bodies := make([][]byte, 4)
 	for i := range bodies {

@@ -2,7 +2,7 @@
 # Builds the benchmark and lightator-serve from this checkout's sources,
 # then runs one workload:
 #
-#   bash lightbench/run.sh --workload serve-process --seed 1 --seconds 16 --trace 0
+#   bash lightbench/run.sh --workload serve-process --seed 1 --seconds 30 --trace 0
 #
 # Everything it builds or writes stays under .bench_build/ at the root of
 # the checkout. The build fails, and no result is printed, when the

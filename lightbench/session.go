@@ -206,17 +206,17 @@ func (s *sessionLoad) stream(paced bool, count int, d time.Duration, tr *tracer,
 	return res, err
 }
 
-// rate is the rate of correct results that arrived in the last nine
-// tenths of an unpaced phase of length d started at start.
+// rate is the block rate of correct results that arrived in the last
+// nine tenths of an unpaced phase of length d started at start.
 func (r streamResult) rate(start time.Time, d time.Duration) float64 {
 	warm, end := start.Add(d/10), start.Add(d)
-	n := 0
+	var done []time.Time
 	for _, at := range r.arrivals {
 		if !at.Before(warm) && !at.After(end) {
-			n++
+			done = append(done, at)
 		}
 	}
-	return float64(n) / end.Sub(warm).Seconds()
+	return blockRate(done)
 }
 
 func (s *sessionLoad) unpaced(d time.Duration, tr *tracer, phase string) (float64, streamResult, error) {
@@ -258,12 +258,12 @@ func runServeSession(o options) (*outcome, error) {
 
 	if !o.trace {
 		m["setup_s"] = setup
-		paced, err := s.stream(true, int(cameraRate*(2*o.run/3).Seconds()), 2*o.run/3, nil, "paced")
+		paced, err := s.stream(true, int(cameraRate*(o.run/2).Seconds()), o.run/2, nil, "paced")
 		if err != nil {
 			return nil, err
 		}
-		latencyMetrics(m, paced.lat, serveTail)
-		if m["frames_per_s"], _, err = s.unpaced(o.run/3, nil, "unpaced"); err != nil {
+		latencyMetrics(m, paced.lat)
+		if m["frames_per_s"], _, err = s.unpaced(o.run/2, nil, "unpaced"); err != nil {
 			return nil, err
 		}
 		m["correct_frac"] = oc.correctFrac()
@@ -344,7 +344,7 @@ func (s *sessionLoad) traced(acc *lightator.Accelerator, frames []*lightator.Ima
 	fillServerLayers(m, c0, c1)
 	fillRuntimeLayers(m, a0, g0, a1, g1, paced.sent)
 	m["session.blocks_reused_frac"] = float64(paced.reused) / float64(paced.total)
-	m["loadgen.late_ms"] = quantile(paced.late, serveTail)
+	m["loadgen.late_ms"] = quantile(paced.late, tailQuantile)
 	m["trace.overhead_frac"] = 1 - fpsT/fpsU
 	var gaps []float64
 	for i := 1; i < len(res.arrivals); i++ {

@@ -13,10 +13,10 @@ import (
 	"time"
 )
 
-// serveTail is the fixed percentile reported as latency_tail_ms by the
-// serve workloads and as loadgen.late_ms. Every latency phase is sized so
-// that at least 10 samples lie beyond its tail percentile.
-const serveTail = 0.90
+// tailQuantile is the fixed percentile reported as latency_tail_ms and as
+// loadgen.late_ms. Every latency phase is sized so that at least 10
+// samples lie beyond it.
+const tailQuantile = 0.90
 
 // quantile returns the q-quantile of xs by linear interpolation between
 // closest ranks. Failed operations enter as +Inf, so they never drop out
@@ -38,16 +38,46 @@ func quantile(xs []float64, q float64) float64 {
 
 func median(xs []float64) float64 { return quantile(xs, 0.5) }
 
-// latencyMetrics fills latency_p50_ms and latency_tail_ms (the tail
-// quantile) from per-op latencies in milliseconds. A failed op (+Inf)
+// rateBlock is the least span one throughput sample covers. The median
+// over blocks resists a slow stretch, such as a burst of CPU time taken
+// by other tenants of a shared host.
+const rateBlock = 500 * time.Millisecond
+
+// blockRate is the frames_per_s of a phase: the median, over consecutive
+// blocks of at least rateBlock, of the rate at which correct frames
+// completed. done holds one completion time per correct frame; a failed
+// frame has none, so it lowers its block's rate. A phase shorter than
+// one block is one block. It sorts done.
+func blockRate(done []time.Time) float64 {
+	sort.Slice(done, func(i, j int) bool { return done[i].Before(done[j]) })
+	var rates []float64
+	for a, j := 0, 1; j < len(done); j++ {
+		if span := done[j].Sub(done[a]); span >= rateBlock {
+			rates = append(rates, float64(j-a)/span.Seconds())
+			a = j
+		}
+	}
+	if len(rates) == 0 && len(done) > 1 {
+		if span := done[len(done)-1].Sub(done[0]); span > 0 {
+			rates = append(rates, float64(len(done)-1)/span.Seconds())
+		}
+	}
+	if len(rates) == 0 {
+		return 0
+	}
+	return median(rates)
+}
+
+// latencyMetrics fills latency_p50_ms and latency_tail_ms (the
+// tailQuantile) from per-op latencies in milliseconds. A failed op (+Inf)
 // that reaches a reported percentile reads as failedLatencyMS, which JSON
 // can carry.
-func latencyMetrics(m map[string]float64, lat []float64, tail float64) {
+func latencyMetrics(m map[string]float64, lat []float64) {
 	const failedLatencyMS = 1e6
-	if beyond := float64(len(lat)) * (1 - tail); beyond < 10 {
-		fmt.Fprintf(os.Stderr, "lightbench: only %.1f samples beyond p%g (want >= 10)\n", beyond, tail*100)
+	if beyond := float64(len(lat)) * (1 - tailQuantile); beyond < 10 {
+		fmt.Fprintf(os.Stderr, "lightbench: only %.1f samples beyond p%g (want >= 10)\n", beyond, tailQuantile*100)
 	}
-	for name, q := range map[string]float64{"latency_p50_ms": 0.5, "latency_tail_ms": tail} {
+	for name, q := range map[string]float64{"latency_p50_ms": 0.5, "latency_tail_ms": tailQuantile} {
 		v := quantile(lat, q)
 		if math.IsInf(v, 1) || math.IsNaN(v) {
 			v = failedLatencyMS
